@@ -94,14 +94,17 @@ race:
 	$(GO) test -race ./...
 
 # Fuzz the internal/par chunk planner (partition cover/disjointness),
-# the checkpoint decoder and the ingest shard decoder (arbitrary bytes
+# the checkpoint decoder, the ingest shard decoder (arbitrary bytes
 # never panic, corruption is always reported as ErrCorrupt, accepted
-# frames re-encode canonically).
+# frames re-encode canonically) and the serving rows decoder (same
+# accept/reject decision, status class and float64 bits as
+# encoding/json).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzChunkCover -fuzztime=$(FUZZTIME) ./internal/par/
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpointDecode -fuzztime=$(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -run='^$$' -fuzz=FuzzShardDecode -fuzztime=$(FUZZTIME) ./internal/ingest/
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeRows -fuzztime=$(FUZZTIME) ./internal/server/
 
 cover:
 	$(GO) test -cover ./...
@@ -124,11 +127,12 @@ bench-serve:
 	$(GO) test -run='^$$' -bench='ServerTransform|ServerHTTPTransform|MicroBatcher' -benchmem . \
 		| $(GO) run ./cmd/benchjson -out BENCH_serve.json
 
-# Allocation-regression gate: a short run of the zero-alloc serving
-# benchmarks compared against the archived BENCH_serve.json baseline
-# (benchjson -compare exits 1 if allocs/op exceeds baseline + slack).
+# Allocation-regression gate: a short run of the serving benchmarks
+# (the zero-alloc kernel paths and the end-to-end HTTP transform)
+# compared against the archived BENCH_serve.json baseline (benchjson
+# -compare exits 1 if allocs/op exceeds baseline + slack).
 bench-compare:
-	$(GO) test -run='^$$' -bench='ServerTransform$$|ServerTransformFloat32$$|MicroBatcher$$' \
+	$(GO) test -run='^$$' -bench='ServerTransform$$|ServerTransformFloat32$$|ServerHTTPTransform$$|MicroBatcher$$' \
 		-benchtime=30x -benchmem . \
 		| $(GO) run ./cmd/benchjson -compare BENCH_serve.json
 

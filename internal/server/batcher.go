@@ -151,7 +151,7 @@ func NewBatcher(cfg BatcherConfig) *Batcher {
 			if err != nil {
 				return err
 			}
-			return kern.TransformInto(dst, x, workers)
+			return kern.TransformInto(dst, x, batchWorkers(kern, x.Rows(), workers))
 		},
 		queues:  make(map[string]*modelQueue),
 		pending: make(map[string]int),

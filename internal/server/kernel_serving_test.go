@@ -52,6 +52,21 @@ func TestBatcherStagingZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestBatchWorkersInlinesSmallBatches pins the fan-out threshold of the
+// batched transforms: a batch under fanOutWork runs on the calling
+// goroutine, a larger one fans out over the configured workers.
+func TestBatchWorkersInlinesSmallBatches(t *testing.T) {
+	kern, err := testEntry(10, 5).Kernel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ rows, want int }{{1, 1}, {64, 1}, {fanOutWork / 50, 1}, {fanOutWork/50 + 1, 4}, {10000, 4}} {
+		if got := batchWorkers(kern, tc.rows, 4); got != tc.want {
+			t.Errorf("batchWorkers(K=10, N=5, %d rows, 4) = %d, want %d", tc.rows, got, tc.want)
+		}
+	}
+}
+
 // TestPooledScratchIsolationAcrossModelVersions hammers two model
 // versions concurrently through the batcher (run under -race). Each
 // version's entry owns its compiled kernel and scratch pool, so no

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -42,6 +43,11 @@ type Entry struct {
 	once    sync.Once
 	kern    *kernel.CompiledKernel
 	kernErr error
+
+	// nameJSON is Name as encoding/json quotes it (HTML-escaped), built
+	// once for the inference responses.
+	nameOnce sync.Once
+	nameJSON []byte
 }
 
 // Kernel returns the entry's compiled serving kernel, compiling it from
@@ -52,6 +58,13 @@ type Entry struct {
 func (e *Entry) Kernel() (*kernel.CompiledKernel, error) {
 	e.once.Do(func() { e.kern, e.kernErr = e.Model.Compile(e.DType) })
 	return e.kern, e.kernErr
+}
+
+// quotedName returns Name encoded as a JSON string, exactly as
+// encoding/json encodes it.
+func (e *Entry) quotedName() []byte {
+	e.nameOnce.Do(func() { e.nameJSON, _ = json.Marshal(e.Name) }) // a string always marshals
+	return e.nameJSON
 }
 
 // Key returns the canonical "<name>@v<version>" identity of the entry.

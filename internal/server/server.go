@@ -28,6 +28,24 @@ import (
 // rule).
 var rowScratch par.Arena
 
+// fanOutWork is the size, in rows·K·N, below which a batched transform
+// runs on the calling goroutine instead of fanning out over Workers. A
+// smaller batch finishes sooner than the hand-off of half of it to a
+// second goroutine (on a 2-vCPU VM the cross-over lies between 128 and
+// 256 rows of a K=10, N=5 model), and every hand-off wakes a thread whose
+// latency swings with host load.
+const fanOutWork = 1 << 14
+
+// batchWorkers returns how many goroutines kern.TransformInto should use
+// for a batch of rows: workers, or 1 for a batch under fanOutWork. The
+// result is bit-identical for every worker count.
+func batchWorkers(kern *kernel.CompiledKernel, rows, workers int) int {
+	if rows*kern.K()*kern.Dims() < fanOutWork {
+		return 1
+	}
+	return workers
+}
+
 // Config sizes the serving subsystem.
 type Config struct {
 	// ModelDir is the directory of model JSON files the registry serves
@@ -246,7 +264,10 @@ func (s *Server) Handler() http.Handler {
 
 // ---- request/response bodies ----
 
-// rowsRequest is the body of transform and probabilities requests.
+// rowsRequest is the body of transform and probabilities requests, and
+// transformResponse and probabilitiesResponse are their answers. The
+// client encodes and decodes these structs with encoding/json; the server
+// speaks the same bytes through codec.go.
 type rowsRequest struct {
 	Rows [][]float64 `json:"rows"`
 }
@@ -381,37 +402,20 @@ func (s *Server) resolveEntry(r *http.Request) (*Entry, error) {
 	return e, nil
 }
 
-// decodeRows parses and bounds-checks the request body. Width checks
-// against a concrete model version happen separately in checkRowWidths:
-// under canary rollout the serving version is chosen per request key,
-// after decoding.
-func (s *Server) decodeRows(w http.ResponseWriter, r *http.Request) (*rowsRequest, error) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var req rowsRequest
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return nil, &httpError{status: http.StatusRequestEntityTooLarge, msg: fmt.Sprintf("body exceeds %d bytes", tooLarge.Limit)}
-		}
-		return nil, badRequest("invalid request body: %v", err)
-	}
-	if len(req.Rows) == 0 {
-		return nil, badRequest("request has no rows")
-	}
-	if len(req.Rows) > s.cfg.MaxRows {
-		return nil, badRequest("request has %d rows, limit is %d", len(req.Rows), s.cfg.MaxRows)
-	}
-	return &req, nil
+// decodeRows reads and decodes the request body under the body-size cap
+// (see codec.go). Width checks against a concrete model version happen
+// separately in checkRowWidths: under canary rollout the serving version
+// is chosen per request key, after decoding.
+func (s *Server) decodeRows(w http.ResponseWriter, r *http.Request) (*rowsBody, error) {
+	return decodeRowsBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), s.cfg.MaxRows)
 }
 
 // checkRowWidths validates every row against the resolved model version.
-func checkRowWidths(req *rowsRequest, entry *Entry) error {
+func checkRowWidths(req *rowsBody, entry *Entry) error {
 	want := entry.Model.Dims()
-	for i, row := range req.Rows {
-		if len(row) != want {
-			return badRequest("row %d has %d attributes, model %s expects %d", i, len(row), entry.Key(), want)
+	for i := 0; i < req.Len(); i++ {
+		if n := len(req.Row(i)); n != want {
+			return badRequest("row %d has %d attributes, model %s expects %d", i, n, entry.Key(), want)
 		}
 	}
 	return nil
@@ -442,7 +446,7 @@ func canaryKey(r *http.Request, row []float64) string {
 // splits traffic by request key, and without one the registry's serving
 // policy applies. The returned Rollout is non-nil when the request
 // should be recorded against an arm.
-func (s *Server) routeTransform(r *http.Request, req *rowsRequest) (*Entry, *Rollout, error) {
+func (s *Server) routeTransform(r *http.Request, req *rowsBody) (*Entry, *Rollout, error) {
 	if s.rollouts == nil || r.URL.Query().Get("version") != "" {
 		e, err := s.resolveEntry(r)
 		return e, nil, err
@@ -453,7 +457,7 @@ func (s *Server) routeTransform(r *http.Request, req *rowsRequest) (*Entry, *Rol
 		e, err := s.resolveEntry(r)
 		return e, nil, err
 	}
-	entry, ok := ro.Route(canaryKey(r, req.Rows[0]))
+	entry, ok := ro.Route(canaryKey(r, req.Row(0)))
 	if !ok {
 		return nil, nil, &httpError{status: http.StatusNotFound, msg: fmt.Sprintf("model %q not found", name)}
 	}
@@ -466,6 +470,19 @@ func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
+	// The request and result buffers go back to their pools once the
+	// response is written, except after a micro-batcher error: then a late
+	// flush may still read the row and write the result.
+	var out []float64
+	recycle := true
+	defer func() {
+		if recycle {
+			if out != nil {
+				rowScratch.Put(out)
+			}
+			req.release()
+		}
+	}()
 	entry, ro, err := s.routeTransform(r, req)
 	if err != nil {
 		s.writeError(w, err)
@@ -477,62 +494,47 @@ func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 	// served (input, transform) pair.
 	record := func(isErr bool, xt []float64) {
 		if ro != nil {
-			ro.Record(entry.Version, time.Since(start), isErr, req.Rows[0], xt)
+			ro.Record(entry.Version, time.Since(start), isErr, req.Row(0), xt)
 		}
+	}
+	fail := func(err error) {
+		record(true, nil)
+		s.writeError(w, err)
 	}
 	if err := checkRowWidths(req, entry); err != nil {
-		record(true, nil)
-		s.writeError(w, err)
+		fail(err)
 		return
 	}
 
-	out := make([][]float64, len(req.Rows))
-	dims := entry.Model.Dims()
-	if len(req.Rows) == 1 {
+	n, dims := req.Len(), entry.Model.Dims()
+	if n == 1 {
 		// Single-row requests go through the micro-batcher so concurrent
-		// callers share one batched transform. The pooled dst is recycled
-		// only on success: after an error (ctx expiry included) a late
-		// flush may still write it.
-		dst := rowScratch.Get(dims)
-		if err := s.batcher.TransformRowInto(r.Context(), entry, dst, req.Rows[0]); err != nil {
-			record(true, nil)
-			s.writeError(w, err)
+		// callers share one batched transform.
+		out = rowScratch.Get(dims)
+		if err := s.batcher.TransformRowInto(r.Context(), entry, out, req.Row(0)); err != nil {
+			recycle = false
+			fail(err)
 			return
 		}
-		out[0] = dst
-		record(false, dst)
-		writeJSON(w, http.StatusOK, transformResponse{Model: entry.Name, Version: entry.Version, Rows: out})
-		rowScratch.Put(dst)
+	} else {
+		kern, err := entry.Kernel()
+		if err != nil {
+			fail(err)
+			return
+		}
+		// The decoded rows already are the row-major staging matrix.
+		out = rowScratch.Get(n * dims)
+		if err := kern.TransformInto(mat.NewDenseData(n, dims, out), mat.NewDenseData(n, dims, req.vals), batchWorkers(kern, n, s.cfg.Workers)); err != nil {
+			fail(badRequest("%v", err))
+			return
+		}
+	}
+	if req.buf, err = appendResponse(req.buf[:0], entry, transformField, out, dims); err != nil {
+		fail(err)
 		return
 	}
-
-	kern, err := entry.Kernel()
-	if err != nil {
-		record(true, nil)
-		s.writeError(w, err)
-		return
-	}
-	// Stage the batch and its result in one pooled backing slice; the
-	// kernel transform is synchronous, so the backing is safely recycled
-	// once the response is written.
-	backing := rowScratch.Get(2 * len(req.Rows) * dims)
-	x := mat.NewDenseData(len(req.Rows), dims, backing[:len(req.Rows)*dims])
-	xt := mat.NewDenseData(len(req.Rows), dims, backing[len(req.Rows)*dims:])
-	for i, row := range req.Rows {
-		copy(x.Row(i), row)
-	}
-	if err := kern.TransformInto(xt, x, s.cfg.Workers); err != nil {
-		rowScratch.Put(backing)
-		record(true, nil)
-		s.writeError(w, badRequest("%v", err))
-		return
-	}
-	for i := range out {
-		out[i] = xt.Row(i)
-	}
-	record(false, xt.Row(0))
-	writeJSON(w, http.StatusOK, transformResponse{Model: entry.Name, Version: entry.Version, Rows: out})
-	rowScratch.Put(backing)
+	record(false, out[:dims])
+	writeBody(w, req.buf)
 }
 
 func (s *Server) handleProbabilities(w http.ResponseWriter, r *http.Request) {
@@ -546,6 +548,7 @@ func (s *Server) handleProbabilities(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
+	defer req.release()
 	if err := checkRowWidths(req, entry); err != nil {
 		s.writeError(w, err)
 		return
@@ -555,17 +558,18 @@ func (s *Server) handleProbabilities(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	probs := make([][]float64, len(req.Rows))
-	backing := rowScratch.Get(len(req.Rows) * kern.K())
-	u := mat.NewDenseData(len(req.Rows), kern.K(), backing)
-	for i, row := range req.Rows {
-		if err := kern.ProbabilitiesInto(u.Row(i), row); err != nil {
-			rowScratch.Put(backing)
+	k := kern.K()
+	probs := rowScratch.Get(req.Len() * k)
+	defer rowScratch.Put(probs)
+	for i := 0; i < req.Len(); i++ {
+		if err := kern.ProbabilitiesInto(probs[i*k:(i+1)*k], req.Row(i)); err != nil {
 			s.writeError(w, badRequest("row %d: %v", i, err))
 			return
 		}
-		probs[i] = u.Row(i)
 	}
-	writeJSON(w, http.StatusOK, probabilitiesResponse{Model: entry.Name, Version: entry.Version, Probabilities: probs})
-	rowScratch.Put(backing)
+	if req.buf, err = appendResponse(req.buf[:0], entry, probabilitiesField, probs, k); err != nil {
+		s.writeError(w, err)
+		return
+	}
+	writeBody(w, req.buf)
 }

@@ -8,8 +8,8 @@ ADDR   ?= :8080
 
 # vet, race, the widened worker sweep, the crash-safety fault sweep, the
 # overload soak, the router replica-kill soak and the closed-loop rollout
-# soak run on every default invocation so the concurrent registry/batcher
-# code in internal/server, the chunked-parallel objective paths, the
+# soak run on every default invocation so the concurrent registry and
+# serving code in internal/server, the chunked-parallel objective paths, the
 # checkpoint/resume machinery, the admission/load-shedding path, the
 # scale-out routing tier and the canary guard are checked routinely.
 # bench-compare and bench-fit-compare are soft gates (leading -): a noisy
@@ -45,7 +45,7 @@ test-faults:
 # detector, plus the admission-control unit suite.
 test-overload:
 	IFAIR_TEST_OVERLOAD=1 $(GO) test -race \
-		-run 'TestOverload|TestShed|TestQueue|TestBatcher' \
+		-run 'TestOverload|TestShed|TestQueue|TestWithheld|TestLateReply|TestBatcher' \
 		./internal/server/ ./internal/admission/
 
 # Race-enabled scale-out soak: goodput scaling 1→4 replicas, replica
@@ -121,18 +121,18 @@ bench-fit:
 		| $(GO) run ./cmd/benchjson -out BENCH_fit.json
 
 # Serving-path benchmarks (fused compute kernel, float32 variant,
-# end-to-end HTTP transform, micro-batcher coalescing), archived as JSON
-# for cross-commit comparison.
+# end-to-end HTTP transform of 64-row and of single-row requests),
+# archived as JSON for cross-commit comparison.
 bench-serve:
-	$(GO) test -run='^$$' -bench='ServerTransform|ServerHTTPTransform|MicroBatcher' -benchmem . \
+	$(GO) test -run='^$$' -bench='ServerTransform|ServerHTTPTransform|ServerHTTPTransformSingle' -benchmem . \
 		| $(GO) run ./cmd/benchjson -out BENCH_serve.json
 
 # Allocation-regression gate: a short run of the serving benchmarks
-# (the zero-alloc kernel paths and the end-to-end HTTP transform)
+# (the zero-alloc kernel paths and the end-to-end HTTP transforms)
 # compared against the archived BENCH_serve.json baseline (benchjson
 # -compare exits 1 if allocs/op exceeds baseline + slack).
 bench-compare:
-	$(GO) test -run='^$$' -bench='ServerTransform$$|ServerTransformFloat32$$|ServerHTTPTransform$$|MicroBatcher$$' \
+	$(GO) test -run='^$$' -bench='ServerTransform$$|ServerTransformFloat32$$|ServerHTTPTransform$$|ServerHTTPTransformSingle$$' \
 		-benchtime=30x -benchmem . \
 		| $(GO) run ./cmd/benchjson -compare BENCH_serve.json
 

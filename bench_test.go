@@ -19,7 +19,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/ifair"
@@ -636,7 +635,7 @@ func BenchmarkServerTransformFloat32(b *testing.B) {
 // (JSON decode → staged kernel transform → JSON encode) with a 64-row
 // batch per request.
 func BenchmarkServerHTTPTransform(b *testing.B) {
-	_, ts := benchHTTPServer(b, server.Config{MaxWait: 0})
+	_, ts := benchHTTPServer(b, server.Config{})
 	rows := make([][]float64, 64)
 	for i := range rows {
 		row := make([]float64, 17)
@@ -668,24 +667,38 @@ func BenchmarkServerHTTPTransform(b *testing.B) {
 	b.ReportMetric(float64(len(rows))*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
-// BenchmarkMicroBatcher measures the coalescing fast path: many
-// goroutines pushing single rows through one Batcher.
-func BenchmarkMicroBatcher(b *testing.B) {
-	model := benchServingModel(10, 17)
-	entry := &server.Entry{Name: "bench", Version: 1, Model: model}
-	batcher := server.NewBatcher(server.BatcherConfig{MaxBatch: 64, MaxWait: 500 * time.Microsecond, Workers: 2})
+// BenchmarkServerHTTPTransformSingle measures the end-to-end HTTP
+// serving path of single-row requests (1 row × 17 attributes), the shape
+// of a per-decision lookup, from parallel clients: each row runs inline on
+// its handler goroutine.
+func BenchmarkServerHTTPTransformSingle(b *testing.B) {
+	_, ts := benchHTTPServer(b, server.Config{})
 	row := make([]float64, 17)
 	for j := range row {
 		row[j] = 0.1 * float64(j)
 	}
-	ctx := context.Background()
+	payload, err := json.Marshal(struct {
+		Rows [][]float64 `json:"rows"`
+	}{[][]float64{row}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	url := ts.URL + "/v1/models/bench/transform"
+	client := ts.Client()
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		dst := make([]float64, 17)
 		for pb.Next() {
-			if err := batcher.TransformRowInto(ctx, entry, dst, row); err != nil {
-				b.Fatal(err)
+			resp, err := client.Post(url, "application/json", bytes.NewReader(payload))
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				b.Errorf("status %d", resp.StatusCode)
+				return
 			}
 		}
 	})

@@ -16,7 +16,7 @@
 //	curl -s -X POST localhost:8080/v1/models/credit/transform \
 //	     -d '{"rows": [[0.1, -1.2, 0.5]]}'
 //
-// Endpoints: POST /v1/models/{name}/transform (micro-batched),
+// Endpoints: POST /v1/models/{name}/transform,
 // POST /v1/models/{name}/probabilities, GET /v1/models, GET /healthz,
 // GET /readyz, GET /metrics. SIGINT/SIGTERM drain in-flight requests
 // before exit.
@@ -35,7 +35,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -47,45 +49,55 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stderr, nil)
+	stop()
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+	case err != nil:
 		fmt.Fprintln(os.Stderr, "ifair-server:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses args, serves until ctx is done, then drains in-flight
+// requests. Logs and flag errors go to logw. When listening is non-nil it
+// receives the bound address once the listener is open, so -addr may use
+// port 0.
+func run(ctx context.Context, args []string, logw io.Writer, listening chan<- string) error {
+	fs := flag.NewFlagSet("ifair-server", flag.ContinueOnError)
+	fs.SetOutput(logw)
+	logger := log.New(logw, "", log.LstdFlags)
 	var (
-		addr     = flag.String("addr", ":8080", "listen address")
-		models   = flag.String("models", "", "directory of model JSON files (<name>.json or <name>@v<version>.json)")
-		maxBatch = flag.Int("max-batch", 32, "micro-batcher flush threshold (rows)")
-		maxWait  = flag.Duration("max-wait", 2*time.Millisecond, "micro-batcher window; 0 disables coalescing")
-		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "worker-pool width for batched transforms")
-		timeout  = flag.Duration("timeout", 10*time.Second, "per-request timeout")
-		reload   = flag.Duration("reload", 10*time.Second, "model directory rescan interval; 0 disables hot reload")
-		drain    = flag.Duration("drain", 15*time.Second, "max time to drain in-flight requests on shutdown")
-		maxBody  = flag.Int64("max-body", 8<<20, "request body size limit in bytes")
-		maxRows  = flag.Int("max-rows", 10000, "maximum rows per batch request")
+		addr    = fs.String("addr", ":8080", "listen address")
+		models  = fs.String("models", "", "directory of model JSON files (<name>.json or <name>@v<version>.json)")
+		workers = fs.Int("workers", runtime.GOMAXPROCS(0), "worker-pool width for multi-row transforms")
+		timeout = fs.Duration("timeout", 10*time.Second, "per-request timeout")
+		reload  = fs.Duration("reload", 10*time.Second, "model directory rescan interval; 0 disables hot reload")
+		drain   = fs.Duration("drain", 15*time.Second, "max time to drain in-flight requests on shutdown")
+		maxBody = fs.Int64("max-body", 8<<20, "request body size limit in bytes")
+		maxRows = fs.Int("max-rows", 10000, "maximum rows per batch request")
 
-		syncFrom  = flag.String("sync-from", "", "origin server base URL to pull model files from (replica mode)")
-		syncEvery = flag.Duration("sync-every", 10*time.Second, "model-dir sync interval when -sync-from is set")
-		syncPrune = flag.Bool("sync-prune", false, "also remove local model files the sync origin no longer has")
+		syncFrom  = fs.String("sync-from", "", "origin server base URL to pull model files from (replica mode)")
+		syncEvery = fs.Duration("sync-every", 10*time.Second, "model-dir sync interval when -sync-from is set")
+		syncPrune = fs.Bool("sync-prune", false, "also remove local model files the sync origin no longer has")
 
-		rollout      = flag.Bool("rollout", false, "closed-loop canary guard: new model versions canary on a traffic slice and auto-promote or roll back")
-		canaryFrac   = flag.Float64("canary-fraction", 0, "rollout: share of traffic on the canary arm (0 = default 0.1)")
-		canaryWindow = flag.Duration("canary-window", 0, "rollout: healthy observation window before promotion (0 = default 1m)")
-		canaryMinReq = flag.Int64("canary-min-requests", 0, "rollout: minimum canary-arm requests before any verdict (0 = default 200)")
-		driftPSI     = flag.Float64("drift-psi", 0, "rollout: per-feature PSI alarm threshold (0 = default 0.25)")
-		guardTick    = flag.Duration("guard-tick", 0, "rollout: guard-loop evaluation period (0 = default 1s)")
+		rollout      = fs.Bool("rollout", false, "closed-loop canary guard: new model versions canary on a traffic slice and auto-promote or roll back")
+		canaryFrac   = fs.Float64("canary-fraction", 0, "rollout: share of traffic on the canary arm (0 = default 0.1)")
+		canaryWindow = fs.Duration("canary-window", 0, "rollout: healthy observation window before promotion (0 = default 1m)")
+		canaryMinReq = fs.Int64("canary-min-requests", 0, "rollout: minimum canary-arm requests before any verdict (0 = default 200)")
+		driftPSI     = fs.Float64("drift-psi", 0, "rollout: per-feature PSI alarm threshold (0 = default 0.25)")
+		guardTick    = fs.Duration("guard-tick", 0, "rollout: guard-loop evaluation period (0 = default 1s)")
 
-		maxInflight  = flag.Int("max-inflight", 0, "admission: concurrent transform/probabilities requests (0 = 8×GOMAXPROCS)")
-		maxQueue     = flag.Int("max-queue", 0, "admission: waiting requests beyond the inflight cap (0 = 2×inflight, negative disables queueing)")
-		queueWait    = flag.Duration("queue-wait", 0, "admission: max time a request may queue before being shed (0 = timeout/2, negative disables)")
-		retryAfter   = flag.Duration("retry-after", time.Second, "Retry-After hint on shed (429/503) responses")
-		flushWorkers = flag.Int("flush-workers", 0, "batcher: flush goroutine pool size (0 = workers)")
-		maxPending   = flag.Int("max-pending", 0, "batcher: pending-row cap per model before shedding (0 = 16×max-batch, negative unlimited)")
-		float32Repr  = flag.Bool("float32", false, "compile serving kernels to float32 (half the parameter bandwidth, ~2e-3 output tolerance)")
+		maxInflight = fs.Int("max-inflight", 0, "admission: concurrent transform/probabilities requests (0 = 8×GOMAXPROCS)")
+		maxQueue    = fs.Int("max-queue", 0, "admission: waiting requests beyond the inflight cap (0 = 2×inflight, negative disables queueing)")
+		queueWait   = fs.Duration("queue-wait", 0, "admission: max time a request may queue before being shed (0 = timeout/2, negative disables)")
+		retryAfter  = fs.Duration("retry-after", time.Second, "Retry-After hint on shed (429/503) responses")
+		float32Repr = fs.Bool("float32", false, "compile serving kernels to float32 (half the parameter bandwidth, ~2e-3 output tolerance)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *models == "" {
 		return errors.New("specify -models <dir>")
 	}
@@ -98,14 +110,12 @@ func run() error {
 			MinRequests:  *canaryMinReq,
 			DriftPSI:     *driftPSI,
 			TickInterval: *guardTick,
-			Logf:         log.Printf,
+			Logf:         logger.Printf,
 		}
 	}
 
 	s, err := server.New(server.Config{
 		ModelDir:       *models,
-		MaxBatch:       *maxBatch,
-		MaxWait:        *maxWait,
 		Workers:        *workers,
 		RequestTimeout: *timeout,
 		MaxBodyBytes:   *maxBody,
@@ -114,8 +124,6 @@ func run() error {
 		MaxQueue:       *maxQueue,
 		MaxQueueWait:   *queueWait,
 		RetryAfter:     *retryAfter,
-		FlushWorkers:   *flushWorkers,
-		MaxPending:     *maxPending,
 		Float32:        *float32Repr,
 		Rollout:        rolloutCfg,
 	})
@@ -125,26 +133,23 @@ func run() error {
 		if s == nil {
 			return err
 		}
-		log.Printf("warning: %v", err)
+		logger.Printf("warning: %v", err)
 	}
 	for _, info := range s.Registry().List() {
-		log.Printf("loaded model %s@v%d (K=%d, N=%d) from %s", info.Name, info.Version, info.K, info.N, info.FileName)
+		logger.Printf("loaded model %s@v%d (K=%d, N=%d) from %s", info.Name, info.Version, info.K, info.N, info.FileName)
 	}
 	if s.Registry().Len() == 0 {
-		log.Printf("warning: no models in %s yet; serving will begin once the watcher finds some", *models)
+		logger.Printf("warning: no models in %s yet; serving will begin once the watcher finds some", *models)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	if *reload > 0 {
-		go s.Registry().Watch(ctx, *reload, log.Printf)
+		go s.Registry().Watch(ctx, *reload, logger.Printf)
 	}
 	if *rollout {
 		// The guard loop adopts newly reloaded/synced versions as canaries
 		// and promotes or rolls them back; without it new versions would
 		// stay pinned out of the serving path.
-		log.Printf("canary guard enabled (drift profiles from %s/<name>.profile)", *models)
+		logger.Printf("canary guard enabled (drift profiles from %s/<name>.profile)", *models)
 		go s.Rollouts().Run(ctx)
 	}
 	if *syncFrom != "" {
@@ -158,34 +163,38 @@ func run() error {
 		syncer.Counters.Skipped = m.Counter("model_sync_skipped_total")
 		syncer.Counters.Pruned = m.Counter("model_sync_pruned_total")
 		syncer.Counters.Errors = m.Counter("model_sync_errors_total")
-		log.Printf("pulling model dir from %s every %v (prune=%v)", *syncFrom, *syncEvery, *syncPrune)
-		go syncer.Watch(ctx, *syncEvery, log.Printf)
+		logger.Printf("pulling model dir from %s every %v (prune=%v)", *syncFrom, *syncEvery, *syncPrune)
+		go syncer.Watch(ctx, *syncEvery, logger.Printf)
 	}
 
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
 	srv := &http.Server{
-		Addr:              *addr,
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
+	logger.Printf("serving %d model(s) on %s (%d workers, %d-row request limit, %v request timeout)",
+		s.Registry().Len(), ln.Addr(), *workers, *maxRows, *timeout)
+	if listening != nil {
+		listening <- ln.Addr().String()
+	}
 	errCh := make(chan error, 1)
-	go func() {
-		log.Printf("serving %d model(s) on %s (batch ≤ %d rows, window %v, %d workers)",
-			s.Registry().Len(), *addr, *maxBatch, *maxWait, *workers)
-		errCh <- srv.ListenAndServe()
-	}()
+	go func() { errCh <- srv.Serve(ln) }()
 
 	select {
 	case err := <-errCh:
 		return err
 	case <-ctx.Done():
 	}
-	log.Printf("signal received, draining in-flight requests (up to %v)", *drain)
+	logger.Printf("signal received, draining in-flight requests (up to %v)", *drain)
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := srv.Shutdown(drainCtx); err != nil {
 		return fmt.Errorf("drain incomplete: %w", err)
 	}
 	s.Close()
-	log.Printf("drained cleanly, bye")
+	logger.Printf("drained cleanly, bye")
 	return nil
 }

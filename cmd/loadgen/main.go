@@ -438,8 +438,6 @@ func selftestFleet(name string, dims, n int) (*fleet, error) {
 	for i := 0; i < n; i++ {
 		s, err := server.New(server.Config{
 			ModelDir:       dir,
-			MaxBatch:       8,
-			MaxWait:        2 * time.Millisecond,
 			RequestTimeout: 250 * time.Millisecond,
 			MaxInflight:    4,
 			MaxQueue:       8,

@@ -2,11 +2,11 @@
 // path. A fitted model's parameters are compiled once into an immutable
 // CompiledKernel; the kernel then exposes allocation-free
 // destination-passing transforms (TransformRowInto, ProbabilitiesInto,
-// TransformInto) that the micro-batcher and the HTTP handlers run per
-// request. Compilation separates the per-model work (validating,
-// laying parameters out contiguously, precomputing prototype norms,
-// optionally narrowing to float32) from the per-row work, so the hot
-// loop touches exactly one contiguous parameter block and no allocator.
+// TransformInto) that the HTTP handlers run per request. Compilation
+// separates the per-model work (validating, laying parameters out
+// contiguously, precomputing prototype norms, optionally narrowing to
+// float32) from the per-row work, so the hot loop touches exactly one
+// contiguous parameter block and no allocator.
 //
 // Two dtypes are supported:
 //

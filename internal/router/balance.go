@@ -38,9 +38,9 @@ type ringNode struct {
 }
 
 // ConsistentHash routes each model key to a stable replica via a hash
-// ring of virtual nodes, so a model's micro-batches and (eventually)
-// any per-model caches concentrate on one backend, and adding or
-// removing a replica only remaps that replica's share of keys.
+// ring of virtual nodes, so a model's compiled kernel, its scratch pool
+// and (eventually) any per-model caches stay warm on one backend, and
+// adding or removing a replica only remaps that replica's share of keys.
 //
 // It is consistent hashing *with bounded loads*: when the ring-preferred
 // replica already carries more than LoadFactor× the mean in-flight load

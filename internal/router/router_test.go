@@ -59,8 +59,6 @@ func newBackendWrapped(t *testing.T, dir string, wrap func(http.Handler) http.Ha
 	t.Helper()
 	s, err := server.New(server.Config{
 		ModelDir:       dir,
-		MaxBatch:       8,
-		MaxWait:        time.Millisecond,
 		RequestTimeout: time.Second,
 	})
 	if err != nil {

@@ -13,7 +13,6 @@ import (
 
 func TestClientTransformRoundTrip(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	defer s.Batcher().Close()
 	c := &Client{BaseURL: ts.URL}
 	row := []float64{1, 2, 3}
 	got, err := c.Transform(context.Background(), "credit", row)
@@ -249,8 +248,7 @@ func TestClientHonoursHTTPDateRetryAfter(t *testing.T) {
 }
 
 func TestClientRawRoundTrips(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	defer s.Batcher().Close()
+	_, ts := newTestServer(t, Config{})
 	c := &Client{BaseURL: ts.URL}
 
 	body, err := json.Marshal(rowsRequest{Rows: [][]float64{{1, 2, 3}}})

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -97,8 +98,8 @@ func (d *rowsBody) release() {
 
 // decodeRowsBody reads body (already bounded by http.MaxBytesReader) and
 // decodes it as a rows request holding 1 to maxRows rows. Errors are
-// *httpError: 413 when the value does not fit in the byte limit, 400 for
-// everything else.
+// *httpError: 413 when the value does not fit in the byte limit, 504 when
+// the request deadline passes before it arrives, 400 for everything else.
 func decodeRowsBody(body io.Reader, maxRows int) (*rowsBody, error) {
 	d := rowsBodyPool.Get().(*rowsBody)
 	raw := bytes.NewBuffer(d.buf[:0])
@@ -118,8 +119,11 @@ func decodeRowsBody(body io.Reader, maxRows int) (*rowsBody, error) {
 		// fail to complete a value; so does this.
 		d.release()
 		var tooLarge *http.MaxBytesError
-		if errors.As(readErr, &tooLarge) {
+		switch {
+		case errors.As(readErr, &tooLarge):
 			return nil, &httpError{status: http.StatusRequestEntityTooLarge, msg: fmt.Sprintf("body exceeds %d bytes", tooLarge.Limit)}
+		case errors.Is(readErr, os.ErrDeadlineExceeded):
+			return nil, &httpError{status: http.StatusGatewayTimeout, msg: "request deadline exceeded"}
 		}
 		return nil, badRequest("invalid request body: %v", readErr)
 	case err == nil:

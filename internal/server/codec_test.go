@@ -350,8 +350,9 @@ func TestNonFiniteOutputIs400(t *testing.T) {
 }
 
 // TestServeHTTPTransformAllocs is the allocation regression guard for the
-// serving hot path: one 64-row × 17-feature transform through the full
-// handler stack (instrumentation, admission, decode, kernel, encode).
+// serving hot path: a 64-row and a 1-row × 17-feature transform through
+// the full handler stack (instrumentation, admission, decode, kernel,
+// encode).
 func TestServeHTTPTransformAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -363,45 +364,53 @@ func TestServeHTTPTransformAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	rows := make([][]float64, 64)
-	for i := range rows {
-		rows[i] = make([]float64, 17)
-		for j := range rows[i] {
-			rows[i][j] = float64(i+j) * 0.01
-		}
-	}
-	payload, err := json.Marshal(rowsRequest{Rows: rows})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Requests and recorders are built before counting, with room for the
-	// response, so only the server's allocations are measured.
-	const runs, warm = 100, 10
-	reqs := make([]*http.Request, runs+1+warm)
-	recs := make([]*httptest.ResponseRecorder, len(reqs))
-	for i := range reqs {
-		reqs[i] = httptest.NewRequest(http.MethodPost, "/v1/models/m/transform", bytes.NewReader(payload))
-		recs[i] = httptest.NewRecorder()
-		recs[i].Body = bytes.NewBuffer(make([]byte, 0, 64<<10))
-	}
 	h := s.Handler()
-	next := 0
-	serve := func() {
-		h.ServeHTTP(recs[next], reqs[next])
-		next++
+	for _, c := range []struct {
+		rows  int
+		bound float64
+	}{{64, 80}, {1, 32}} {
+		t.Run(fmt.Sprintf("%drows", c.rows), func(t *testing.T) {
+			rows := make([][]float64, c.rows)
+			for i := range rows {
+				rows[i] = make([]float64, 17)
+				for j := range rows[i] {
+					rows[i][j] = float64(i+j) * 0.01
+				}
+			}
+			payload, err := json.Marshal(rowsRequest{Rows: rows})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// Requests and recorders are built before counting, with room
+			// for the response, so only the server's allocations are
+			// measured.
+			const runs, warm = 100, 10
+			reqs := make([]*http.Request, runs+1+warm)
+			recs := make([]*httptest.ResponseRecorder, len(reqs))
+			for i := range reqs {
+				reqs[i] = httptest.NewRequest(http.MethodPost, "/v1/models/m/transform", bytes.NewReader(payload))
+				recs[i] = httptest.NewRecorder()
+				recs[i].Body = bytes.NewBuffer(make([]byte, 0, 64<<10))
+			}
+			next := 0
+			serve := func() {
+				h.ServeHTTP(recs[next], reqs[next])
+				next++
+			}
+			for i := 0; i < warm; i++ {
+				serve()
+			}
+			allocs := testing.AllocsPerRun(runs, serve)
+			for i, rec := range recs {
+				if rec.Code != http.StatusOK {
+					t.Fatalf("request %d: status %d: %s", i, rec.Code, rec.Body)
+				}
+			}
+			if allocs > c.bound {
+				t.Errorf("%d-row transform allocates %v/request, want ≤ %v", c.rows, allocs, c.bound)
+			}
+			t.Logf("%v allocs/request", allocs)
+		})
 	}
-	for i := 0; i < warm; i++ {
-		serve()
-	}
-	allocs := testing.AllocsPerRun(runs, serve)
-	for i, rec := range recs {
-		if rec.Code != http.StatusOK {
-			t.Fatalf("request %d: status %d: %s", i, rec.Code, rec.Body)
-		}
-	}
-	if allocs > 80 {
-		t.Errorf("64-row transform allocates %v/request, want ≤ 80", allocs)
-	}
-	t.Logf("%v allocs/request", allocs)
 }

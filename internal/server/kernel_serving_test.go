@@ -5,15 +5,14 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/kernel"
 )
 
 // TestBatcherStagingZeroAlloc is the allocation regression test for the
-// flush path: with callers supplying destinations, one staged flush —
-// input copy, fused kernel transform, result delivery — must not touch
-// the allocator in steady state.
+// single-row path: with the caller supplying the destination, the context
+// check, width check and fused kernel transform must not touch the
+// allocator in steady state.
 func TestBatcherStagingZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -22,38 +21,21 @@ func TestBatcherStagingZeroAlloc(t *testing.T) {
 	if _, err := entry.Kernel(); err != nil { // compile outside the measured loop
 		t.Fatal(err)
 	}
-	b := NewBatcher(BatcherConfig{MaxBatch: 8, MaxWait: time.Millisecond, Workers: 1})
-	defer b.Close()
-
-	const rows = 8
 	ctx := context.Background()
-	job := flushJob{key: entry.Key(), entry: entry}
-	outs := make([]chan batchResult, rows)
-	for i := range outs {
-		outs[i] = make(chan batchResult, 1)
-		row := make([]float64, 6)
-		for j := range row {
-			row[j] = float64(i + j)
-		}
-		job.rows = append(job.rows, pendingRow{ctx: ctx, row: row, dst: make([]float64, 6), out: outs[i]})
-	}
-
+	row, dst := []float64{0, 1, 2, 3, 4, 5}, make([]float64, 6)
 	run := func() {
-		b.runJob(job)
-		for i, out := range outs {
-			if res := <-out; res.err != nil {
-				t.Fatalf("row %d: %v", i, res.err)
-			}
+		if err := (SingleRow{}).TransformRowInto(ctx, entry, dst, row); err != nil {
+			t.Fatal(err)
 		}
 	}
-	run() // warm the staging arena and scratch pool
+	run() // warm the kernel's scratch pool
 	if n := testing.AllocsPerRun(100, run); n != 0 {
-		t.Errorf("batcher flush allocates %v/op, want 0", n)
+		t.Errorf("single-row transform allocates %v/op, want 0", n)
 	}
 }
 
-// TestBatchWorkersInlinesSmallBatches pins the fan-out threshold of the
-// batched transforms: a batch under fanOutWork runs on the calling
+// TestBatchWorkersInlinesSmallBatches pins the fan-out threshold of
+// multi-row transforms: a batch under fanOutWork runs on the calling
 // goroutine, a larger one fans out over the configured workers.
 func TestBatchWorkersInlinesSmallBatches(t *testing.T) {
 	kern, err := testEntry(10, 5).Kernel()
@@ -68,8 +50,8 @@ func TestBatchWorkersInlinesSmallBatches(t *testing.T) {
 }
 
 // TestPooledScratchIsolationAcrossModelVersions hammers two model
-// versions concurrently through the batcher (run under -race). Each
-// version's entry owns its compiled kernel and scratch pool, so no
+// versions concurrently through the single-row path (run under -race).
+// Each version's entry owns its compiled kernel and scratch pool, so no
 // pooled buffer can carry one version's state into the other's results:
 // every output must match that version's own reference transform
 // bitwise.
@@ -83,9 +65,6 @@ func TestPooledScratchIsolationAcrossModelVersions(t *testing.T) {
 	}
 	v1 := mkEntry(1, 0)
 	v2 := mkEntry(2, 10)
-
-	b := NewBatcher(BatcherConfig{MaxBatch: 4, MaxWait: 200 * time.Microsecond, Workers: 2, FlushWorkers: 2})
-	defer b.Close()
 
 	rows := make([][]float64, 8)
 	want1 := make([][]float64, len(rows))
@@ -114,7 +93,7 @@ func TestPooledScratchIsolationAcrossModelVersions(t *testing.T) {
 			dst := make([]float64, 5)
 			for it := 0; it < iters; it++ {
 				i := (g + it) % len(rows)
-				if err := b.TransformRowInto(context.Background(), entry, dst, rows[i]); err != nil {
+				if err := (SingleRow{}).TransformRowInto(context.Background(), entry, dst, rows[i]); err != nil {
 					errs <- fmt.Errorf("v%d row %d: %w", entry.Version, i, err)
 					return
 				}

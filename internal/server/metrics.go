@@ -1,8 +1,8 @@
 // Package server is the model-serving subsystem: it loads fitted iFair
 // models from a directory into a hot-reloadable registry and serves
-// transform/probability requests over HTTP, coalescing concurrent
-// single-record requests into micro-batches. It realises the paper's
-// "train once, use the learned representation for arbitrary downstream
+// transform/probability requests over HTTP; a single-record request runs
+// inline on the goroutine that handles it. It realises the paper's "train
+// once, use the learned representation for arbitrary downstream
 // applications" deployment story (Sec. IV) as a long-lived service.
 package server
 
@@ -135,12 +135,11 @@ func (h *Histogram) snapshot() (counts []int64, sum float64, total int64) {
 	return append([]int64(nil), h.counts...), h.sum, h.total
 }
 
-// Default bucket layouts: request latency in seconds (100µs … 10s) and
-// micro-batch sizes (powers of two).
+// Default bucket layout of request latency in seconds (100µs … 10s), and
+// the quantiles exported per histogram.
 var (
-	latencyBuckets   = []float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
-	batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
-	exportQuantiles  = []float64{0.5, 0.9, 0.99}
+	latencyBuckets  = []float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
+	exportQuantiles = []float64{0.5, 0.9, 0.99}
 )
 
 // Metrics is a registry of named counters and histograms that renders
@@ -306,7 +305,7 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		fmt.Fprintf(&b, "%s%s %d\n", name, renderLabels(labels), counters[key].Value())
 	}
 	// Gauge functions run outside the registry lock: they may take other
-	// locks (limiter, batcher) of their own.
+	// locks (the limiter's) of their own.
 	for _, key := range gaugeKeys {
 		name, labels := splitKey(key)
 		fmt.Fprintf(&b, "%s%s %g\n", name, renderLabels(labels), gauges[key]())

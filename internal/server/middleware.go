@@ -38,6 +38,9 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 	return r.ResponseWriter.Write(b)
 }
 
+// Unwrap lets http.NewResponseController reach the connection.
+func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
+
 // Flush passes streaming flushes through to the underlying writer, so
 // wrapping a handler never hides http.Flusher from it.
 func (r *statusRecorder) Flush() {

@@ -20,8 +20,9 @@ import (
 )
 
 // TestOverloadSoak drives the server at ~4× its admission capacity with
-// closed-loop workers, a fraction of them chaotic (slow-reader bodies,
-// mid-body disconnects), and asserts the overload-protection contract:
+// closed-loop workers whose bodies arrive over ~2ms, a fraction of them
+// chaotic (slower bodies, mid-body disconnects), and asserts the
+// overload-protection contract:
 // excess load is shed with Retry-After instead of queueing unboundedly,
 // goodput stays positive, admitted-request latency respects the
 // queue-cap + compute budget, probes stay reachable, and a graceful
@@ -49,8 +50,6 @@ func TestOverloadSoak(t *testing.T) {
 	writeModelFile(t, dir, "credit.json", testModel(2, 3))
 	s, err := New(Config{
 		ModelDir:       dir,
-		MaxBatch:       8,
-		MaxWait:        2 * time.Millisecond,
 		RequestTimeout: reqTimeout,
 		MaxInflight:    maxInflight,
 		MaxQueue:       maxQueue,
@@ -128,7 +127,13 @@ func TestOverloadSoak(t *testing.T) {
 							&faultinject.DisconnectReader{R: bytes.NewReader(body), N: len(body) / 2})
 						return r
 					default:
-						r, _ := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+						// The rest upload in two halves 1ms apart, as
+						// over a slow link, so each admitted request holds
+						// its slot for about 2ms: the transform itself
+						// takes microseconds, and without this the workers
+						// would not load the slots past capacity.
+						r, _ := http.NewRequest(http.MethodPost, url,
+							&faultinject.SlowReader{R: bytes.NewReader(body), Chunk: len(body)/2 + 1, Delay: time.Millisecond})
 						return r
 					}
 				}()
@@ -223,8 +228,6 @@ func TestOverloadSoak(t *testing.T) {
 		"ifair_admission_shed_total",
 		"ifair_admission_queue_depth",
 		"ifair_admission_inflight",
-		"batcher_flush_panics 0",
-		"batcher_pending_rows",
 	} {
 		if !bytes.Contains(metricsBody.Bytes(), []byte(want)) {
 			t.Errorf("/metrics missing %q:\n%s", want, page)

@@ -22,10 +22,8 @@ import (
 
 // rowScratch recycles the handlers' staging and result buffers (request
 // rows, transformed rows, membership rows) so steady traffic does not
-// allocate a fresh matrix per request. Buffers return to the pool only
-// after the response is encoded — and, on the micro-batched path, only
-// after a successful call (see Batcher.TransformRowInto's ownership
-// rule).
+// allocate a fresh matrix per request. Buffers return to the pool once
+// the response is encoded.
 var rowScratch par.Arena
 
 // fanOutWork is the size, in rows·K·N, below which a batched transform
@@ -46,17 +44,37 @@ func batchWorkers(kern *kernel.CompiledKernel, rows, workers int) int {
 	return workers
 }
 
+// SingleRow is the transform path of a one-row request: the row runs
+// through its model's compiled kernel on the calling goroutine. The
+// kernel works row by row, so holding rows back to batch them would add
+// latency and save no compute; admission control bounds how many rows
+// run at once.
+type SingleRow struct{}
+
+// TransformRowInto transforms row through entry's model into dst (length
+// OutDims). It returns ctx's error without transforming when ctx is
+// already done.
+func (SingleRow) TransformRowInto(ctx context.Context, entry *Entry, dst, row []float64) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	kern, err := entry.Kernel()
+	if err != nil {
+		return err
+	}
+	return kern.TransformRowInto(dst, row)
+}
+
 // Config sizes the serving subsystem.
 type Config struct {
 	// ModelDir is the directory of model JSON files the registry serves
 	// (`<name>.json` or `<name>@v<version>.json`).
 	ModelDir string
-	// MaxBatch is the micro-batcher's flush threshold (default 32).
+	// MaxBatch and MaxWait are ignored: single-row requests run inline,
+	// without a batch window.
 	MaxBatch int
-	// MaxWait is how long a single-row request may wait for batch
-	// partners (default 2ms; 0 disables coalescing).
-	MaxWait time.Duration
-	// Workers is the worker-pool width for batched transforms (default
+	MaxWait  time.Duration
+	// Workers is the worker-pool width for multi-row transforms (default
 	// GOMAXPROCS).
 	Workers int
 	// RequestTimeout bounds each request's handling time (default 10s).
@@ -84,13 +102,6 @@ type Config struct {
 	// RetryAfter is the hint sent in the Retry-After header of 429/503
 	// shed responses (default 1s).
 	RetryAfter time.Duration
-	// FlushWorkers bounds the micro-batcher's flush goroutines (default
-	// Workers).
-	FlushWorkers int
-	// MaxPending caps queued + in-flight micro-batched rows per model;
-	// beyond it single-row requests are shed with 429 (default
-	// 16×MaxBatch; negative means unlimited).
-	MaxPending int
 
 	// Float32 compiles serving kernels to the float32 representation:
 	// half the parameter and scratch bandwidth, outputs within the
@@ -108,12 +119,6 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults() {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 32
-	}
-	if c.MaxWait < 0 {
-		c.MaxWait = 0
-	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -144,15 +149,6 @@ func (c *Config) fillDefaults() {
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
 	}
-	if c.FlushWorkers <= 0 {
-		c.FlushWorkers = c.Workers
-	}
-	switch {
-	case c.MaxPending == 0:
-		c.MaxPending = 16 * c.MaxBatch
-	case c.MaxPending < 0:
-		c.MaxPending = 0
-	}
 }
 
 // Server serves fitted iFair models over HTTP: batched transforms,
@@ -161,7 +157,6 @@ func (c *Config) fillDefaults() {
 type Server struct {
 	cfg      Config
 	registry *Registry
-	batcher  *Batcher
 	limiter  *admission.Limiter
 	metrics  *Metrics
 	rollouts *RolloutManager // nil unless cfg.Rollout is set
@@ -183,17 +178,6 @@ func New(cfg Config) (*Server, error) {
 		s.registry.SetDType(kernel.Float32)
 	}
 	RegisterProcessMetrics(s.metrics)
-	s.batcher = NewBatcher(BatcherConfig{
-		MaxBatch:     cfg.MaxBatch,
-		MaxWait:      cfg.MaxWait,
-		Workers:      cfg.Workers,
-		FlushWorkers: cfg.FlushWorkers,
-		MaxPending:   cfg.MaxPending,
-		Sizes:        s.metrics.Histogram("ifair_batch_size", batchSizeBuckets),
-		FlushPanics:  s.metrics.Counter("batcher_flush_panics"),
-		Abandoned:    s.metrics.Counter("batcher_rows_abandoned"),
-		Shed:         s.metrics.Counter("batcher_rows_shed"),
-	})
 	s.limiter = admission.NewLimiter(admission.Config{
 		MaxConcurrent: cfg.MaxInflight,
 		MaxQueue:      cfg.MaxQueue,
@@ -205,9 +189,6 @@ func New(cfg Config) (*Server, error) {
 	})
 	s.metrics.GaugeFunc("ifair_admission_inflight", func() float64 {
 		return float64(s.limiter.Stats().Inflight)
-	})
-	s.metrics.GaugeFunc("batcher_pending_rows", func() float64 {
-		return float64(s.batcher.PendingRows())
 	})
 	s.registry.SetFailureCounter(s.metrics.Counter("registry_reload_failures"))
 	if cfg.Rollout != nil {
@@ -230,8 +211,10 @@ func (s *Server) Registry() *Registry { return s.registry }
 // Metrics exposes the metrics registry (for tests and embedding).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// Batcher exposes the micro-batcher (for draining in tests).
-func (s *Server) Batcher() *Batcher { return s.batcher }
+// Batcher returns the single-row transform path the transform handler
+// runs. It keeps the name of the micro-batcher that path replaced because
+// perfbench times it, as batcher.row_us.
+func (s *Server) Batcher() SingleRow { return SingleRow{} }
 
 // Limiter exposes the admission controller (for tests and gauges).
 func (s *Server) Limiter() *admission.Limiter { return s.limiter }
@@ -241,9 +224,10 @@ func (s *Server) Limiter() *admission.Limiter { return s.limiter }
 // registry watch.
 func (s *Server) Rollouts() *RolloutManager { return s.rollouts }
 
-// Close flushes the micro-batcher and stops its flush workers. Call
-// after the HTTP server has drained.
-func (s *Server) Close() { s.batcher.Close() }
+// Close releases the server after the HTTP server has drained. Nothing
+// outlives a request today, so it does nothing; callers that embed a
+// Server should still call it.
+func (s *Server) Close() {}
 
 // Handler returns the fully instrumented HTTP handler. Model inference
 // endpoints sit behind admission control; health probes, /metrics and
@@ -325,7 +309,7 @@ func (s *Server) setRetryAfter(w http.ResponseWriter) {
 }
 
 // writeError maps an error to a JSON error response: httpError keeps its
-// status, overload sheds become 429 (queue/batcher full) or 503 (queue
+// status, overload sheds become 429 (queue full) or 503 (queue
 // wait or deadline headroom exceeded) with a Retry-After hint, a
 // server-side deadline expiry becomes 504 Gateway Timeout, and
 // everything else is a 500.
@@ -337,7 +321,7 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 			s.setRetryAfter(w)
 		}
 		writeJSON(w, he.status, errorResponse{Error: he.msg})
-	case errors.Is(err, ErrBusy), errors.Is(err, admission.ErrQueueFull):
+	case errors.Is(err, admission.ErrQueueFull):
 		s.setRetryAfter(w)
 		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: err.Error()})
 	case errors.Is(err, admission.ErrQueueTimeout), errors.Is(err, admission.ErrDeadline):
@@ -406,8 +390,33 @@ func (s *Server) resolveEntry(r *http.Request) (*Entry, error) {
 // (see codec.go). Width checks against a concrete model version happen
 // separately in checkRowWidths: under canary rollout the serving version
 // is chosen per request key, after decoding.
+//
+// The request deadline is the connection's read deadline while the body
+// is read, so a client that withholds its body gets a 504 and frees its
+// admission slot. The deadline is cleared once the body is in: net/http
+// reads the connection in the background from the body's end on, and a
+// deadline firing there would cancel the context of every later request
+// on the connection. A connection whose deadline did fire is closed after
+// the reply. Bodyless requests are left alone, as their background read
+// is already running. Writers without a connection (httptest recorders,
+// in-process replays) return http.ErrNotSupported; the context still
+// bounds those requests.
 func (s *Server) decodeRows(w http.ResponseWriter, r *http.Request) (*rowsBody, error) {
-	return decodeRowsBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), s.cfg.MaxRows)
+	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	deadline, ok := r.Context().Deadline()
+	rc := http.NewResponseController(w)
+	if !ok || r.Body == http.NoBody || rc.SetReadDeadline(deadline) != nil {
+		return decodeRowsBody(body, s.cfg.MaxRows)
+	}
+	req, err := decodeRowsBody(body, s.cfg.MaxRows)
+	if time.Now().Before(deadline) {
+		_ = rc.SetReadDeadline(time.Time{})
+	} else {
+		// The expired deadline stays, so net/http's discard of an unread
+		// body remainder fails at once instead of waiting on the client.
+		w.Header().Set("Connection", "close")
+	}
+	return req, err
 }
 
 // checkRowWidths validates every row against the resolved model version.
@@ -471,17 +480,13 @@ func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The request and result buffers go back to their pools once the
-	// response is written, except after a micro-batcher error: then a late
-	// flush may still read the row and write the result.
+	// response is written.
 	var out []float64
-	recycle := true
 	defer func() {
-		if recycle {
-			if out != nil {
-				rowScratch.Put(out)
-			}
-			req.release()
+		if out != nil {
+			rowScratch.Put(out)
 		}
+		req.release()
 	}()
 	entry, ro, err := s.routeTransform(r, req)
 	if err != nil {
@@ -508,11 +513,8 @@ func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 
 	n, dims := req.Len(), entry.Model.Dims()
 	if n == 1 {
-		// Single-row requests go through the micro-batcher so concurrent
-		// callers share one batched transform.
 		out = rowScratch.Get(dims)
-		if err := s.batcher.TransformRowInto(r.Context(), entry, out, req.Row(0)); err != nil {
-			recycle = false
+		if err := (SingleRow{}).TransformRowInto(r.Context(), entry, out, req.Row(0)); err != nil {
 			fail(err)
 			return
 		}

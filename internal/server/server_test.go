@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -12,7 +13,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -253,48 +253,74 @@ func TestMetricsEndpointReportsTraffic(t *testing.T) {
 	}
 }
 
-// TestConcurrentSingleRowRequestsCoalesce is the acceptance check that
-// concurrent single-row HTTP requests are observably micro-batched: the
-// batch-size histogram must record at least one batch with > 1 rows.
-func TestConcurrentSingleRowRequestsCoalesce(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxBatch: 64, MaxWait: 50 * time.Millisecond})
-	client := &http.Client{}
-	const callers = 12
-	var wg sync.WaitGroup
-	for g := 0; g < callers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			body := fmt.Sprintf(`{"rows":[[%d, 1, -1]]}`, g)
-			resp, err := client.Post(ts.URL+"/v1/models/credit/transform", "application/json", strings.NewReader(body))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("status = %d", resp.StatusCode)
-			}
-		}(g)
+// withheldPost is a transform request whose client sends the headers and
+// the first bytes of the body, then withholds the rest until finish: it
+// parks the request inside the handler, holding its admission slot.
+type withheldPost struct {
+	body *io.PipeWriter
+	done chan withheldResult
+}
+
+type withheldResult struct {
+	status int
+	err    error
+}
+
+// postWithheld starts a withheld transform request for a two-attribute
+// row; header, if non-nil, adds request headers. Its cleanup closes the
+// body, so a test server closed by an earlier-registered t.Cleanup (not
+// a defer) cannot wait forever on a parked handler.
+func postWithheld(t *testing.T, url string, header http.Header) *withheldPost {
+	t.Helper()
+	pr, pw := io.Pipe()
+	req, err := http.NewRequest(http.MethodPost, url, pr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	sizes := s.Metrics().Histogram("ifair_batch_size", batchSizeBuckets)
-	if sizes.Count() == 0 {
-		t.Fatal("no batches recorded")
+	for k, v := range header {
+		req.Header[k] = v
 	}
-	if sizes.Max() < 2 {
-		t.Fatalf("max observed batch size = %v, want > 1 (requests were not coalesced)", sizes.Max())
+	p := &withheldPost{body: pw, done: make(chan withheldResult, 1)}
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			p.done <- withheldResult{err: err}
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		p.done <- withheldResult{status: resp.StatusCode}
+	}()
+	go io.WriteString(pw, `{"rows":[[1,`) //nolint:errcheck
+	t.Cleanup(func() { pw.Close() })
+	return p
+}
+
+// finish sends the rest of the body.
+func (p *withheldPost) finish() {
+	io.WriteString(p.body, `2]]}`) //nolint:errcheck
+	p.body.Close()
+}
+
+// waitInflight waits until the limiter reports n admitted requests.
+func waitInflight(t *testing.T, s *Server, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Limiter().Stats().Inflight != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("inflight = %d, want %d", s.Limiter().Stats().Inflight, n)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
 // TestGracefulShutdownDrains verifies the serving contract cmd/ifair-server
-// relies on: http.Server.Shutdown lets an in-flight (micro-batched)
-// request finish and the client receives its 200.
+// relies on: http.Server.Shutdown lets an in-flight request finish and the
+// client receives its 200.
 func TestGracefulShutdownDrains(t *testing.T) {
 	dir := t.TempDir()
-	writeModelFile(t, dir, "m.json", testModel(2, 3))
-	s, err := New(Config{ModelDir: dir, MaxBatch: 64, MaxWait: 150 * time.Millisecond})
+	writeModelFile(t, dir, "m.json", testModel(2, 2))
+	s, err := New(Config{ModelDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,33 +329,23 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := &http.Server{Handler: s.Handler()}
+	shuttingDown := make(chan struct{})
+	srv.RegisterOnShutdown(func() { close(shuttingDown) })
 	go srv.Serve(ln)
 
-	type result struct {
-		status int
-		err    error
-	}
-	resCh := make(chan result, 1)
-	go func() {
-		// This request sits in the micro-batch window when Shutdown fires.
-		resp, err := http.Post("http://"+ln.Addr().String()+"/v1/models/m/transform",
-			"application/json", strings.NewReader(`{"rows":[[1,2,3]]}`))
-		if err != nil {
-			resCh <- result{err: err}
-			return
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		resCh <- result{status: resp.StatusCode}
-	}()
-
-	time.Sleep(30 * time.Millisecond) // let the request enter the batcher
+	// This request is still sending its body when Shutdown fires.
+	p := postWithheld(t, "http://"+ln.Addr().String()+"/v1/models/m/transform", nil)
+	waitInflight(t, s, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
+	shutdown := make(chan error, 1)
+	go func() { shutdown <- srv.Shutdown(ctx) }()
+	<-shuttingDown
+	p.finish()
+	if err := <-shutdown; err != nil {
 		t.Fatalf("shutdown did not drain: %v", err)
 	}
-	res := <-resCh
+	res := <-p.done
 	if res.err != nil {
 		t.Fatalf("in-flight request failed during shutdown: %v", res.err)
 	}
@@ -349,19 +365,19 @@ func TestRequestTimeoutReturns504(t *testing.T) {
 	writeModelFile(t, dir, "m.json", testModel(2, 2))
 	s, err := New(Config{
 		ModelDir:       dir,
-		MaxBatch:       1000,             // never size-flush
-		MaxWait:        10 * time.Second, // never timer-flush in time
 		RequestTimeout: 30 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	defer s.Batcher().Close()
-	resp, body := postJSON(t, ts.URL+"/v1/models/m/transform", rowsRequest{Rows: [][]float64{{1, 2}}})
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("status = %d (%s), want 504 on server-side deadline expiry", resp.StatusCode, body)
+	t.Cleanup(ts.Close)
+	res := <-postWithheld(t, ts.URL+"/v1/models/m/transform", nil).done
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	if res.status != http.StatusGatewayTimeout {
+		t.Fatalf("status = %d, want 504 on server-side deadline expiry", res.status)
 	}
 }
 
@@ -373,36 +389,152 @@ func TestDeadlineHeaderPropagates(t *testing.T) {
 	writeModelFile(t, dir, "m.json", testModel(2, 2))
 	s, err := New(Config{
 		ModelDir:       dir,
-		MaxBatch:       1000,             // never size-flush
-		MaxWait:        10 * time.Second, // never timer-flush in time
 		RequestTimeout: 10 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	defer s.Batcher().Close()
+	t.Cleanup(ts.Close)
 
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/models/m/transform",
-		strings.NewReader(`{"rows":[[1,2]]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set(TimeoutHeader, "40")
 	start := time.Now()
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	res := <-postWithheld(t, ts.URL+"/v1/models/m/transform", http.Header{TimeoutHeader: {"40"}}).done
+	if res.err != nil {
+		t.Fatal(res.err)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("status = %d, want 504 from the propagated 40ms budget", resp.StatusCode)
+	if res.status != http.StatusGatewayTimeout {
+		t.Fatalf("status = %d, want 504 from the propagated 40ms budget", res.status)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("request took %v: client budget was not propagated", elapsed)
 	}
+}
+
+// TestWithheldBodyReleasesSlot is the regression test for a client that
+// withholds its request body: the request deadline must bound the body
+// read, so the request gets its 504 within RequestTimeout and gives its
+// admission slot back for the next request.
+func TestWithheldBodyReleasesSlot(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	dir := t.TempDir()
+	writeModelFile(t, dir, "m.json", testModel(2, 2))
+	s, err := New(Config{
+		ModelDir:       dir,
+		RequestTimeout: timeout,
+		MaxInflight:    1,
+		MaxQueue:       -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	p := postWithheld(t, ts.URL+"/v1/models/m/transform", nil)
+	waitInflight(t, s, 1)
+	start := time.Now()
+	select {
+	case res := <-p.done:
+		if res.err != nil {
+			t.Fatal(res.err)
+		}
+		if res.status != http.StatusGatewayTimeout {
+			t.Fatalf("status = %d, want 504 for a withheld body", res.status)
+		}
+	case <-time.After(timeout + 2*time.Second):
+		t.Fatal("a withheld body held its admission slot past RequestTimeout")
+	}
+	t.Logf("504 after %v", time.Since(start))
+	waitInflight(t, s, 0)
+	resp, body := postJSON(t, ts.URL+"/v1/models/m/transform", rowsRequest{Rows: [][]float64{{1, 2}}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d (%s) after the slot was released, want 200", resp.StatusCode, body)
+	}
+}
+
+// TestLateReplyKeepsConnectionUsable covers the connection after a
+// request whose handler outlives its deadline: the read deadline that
+// bounds a body must not reach net/http's background read of the
+// connection, or every later request on it starts with a cancelled
+// context and is shed with 503. A deadline that fired during the body
+// read closes the connection instead.
+func TestLateReplyKeepsConnectionUsable(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	dir := t.TempDir()
+	writeModelFile(t, dir, "m.json", testModel(2, 2))
+	s, err := New(Config{ModelDir: dir, RequestTimeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := func(w http.ResponseWriter, r *http.Request) {
+		if r.Body != http.NoBody {
+			req, err := s.decodeRows(w, r)
+			if err != nil {
+				s.writeError(w, err)
+				return
+			}
+			req.release()
+		}
+		time.Sleep(3 * timeout)
+		w.WriteHeader(http.StatusOK)
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/late", s.instrument("/late", true, late))
+	mux.Handle("/", s.Handler())
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+
+	const row = `{"rows":[[1,2]]}`
+	send := func(conn net.Conn, br *bufio.Reader, method, path, body string, length int) *http.Response {
+		t.Helper()
+		req := fmt.Sprintf("%s %s HTTP/1.1\r\nHost: test\r\n", method, path)
+		if length >= 0 {
+			req += fmt.Sprintf("Content-Length: %d\r\n", length)
+		}
+		if _, err := io.WriteString(conn, req+"\r\n"+body); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
+		return resp
+	}
+	for _, tc := range []struct {
+		name, method, body string
+		length             int
+	}{
+		{"full body", http.MethodPost, row, len(row)},
+		{"no body", http.MethodGet, "", -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			br := bufio.NewReader(conn)
+			if resp := send(conn, br, tc.method, "/late", tc.body, tc.length); resp.StatusCode != http.StatusOK || resp.Close {
+				t.Fatalf("late reply: status %d, close %v; want 200 on a kept connection", resp.StatusCode, resp.Close)
+			}
+			if resp := send(conn, br, http.MethodPost, "/v1/models/m/transform", row, len(row)); resp.StatusCode != http.StatusOK {
+				t.Fatalf("next request on the connection: status %d, want 200", resp.StatusCode)
+			}
+		})
+	}
+	t.Run("withheld body", func(t *testing.T) {
+		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		resp := send(conn, bufio.NewReader(conn), http.MethodPost, "/v1/models/m/transform", row[:5], len(row))
+		if resp.StatusCode != http.StatusGatewayTimeout || !resp.Close {
+			t.Fatalf("withheld body: status %d, close %v; want 504 and a closed connection", resp.StatusCode, resp.Close)
+		}
+	})
 }
 
 // TestShedReturns429WithRetryAfter wedges the single admission slot and
@@ -413,8 +545,6 @@ func TestShedReturns429WithRetryAfter(t *testing.T) {
 	writeModelFile(t, dir, "m.json", testModel(2, 2))
 	s, err := New(Config{
 		ModelDir:       dir,
-		MaxBatch:       1000,
-		MaxWait:        10 * time.Second, // park the first request in the batch window
 		RequestTimeout: 5 * time.Second,
 		MaxInflight:    1,
 		MaxQueue:       -1, // no queue: busy ⇒ shed
@@ -424,25 +554,12 @@ func TestShedReturns429WithRetryAfter(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	defer s.Batcher().Close()
+	t.Cleanup(ts.Close)
 
-	// Occupy the only slot: this request sits in the micro-batch window.
-	go func() {
-		resp, err := http.Post(ts.URL+"/v1/models/m/transform", "application/json",
-			strings.NewReader(`{"rows":[[1,2]]}`))
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Limiter().Stats().Inflight == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("first request never acquired the slot")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// Occupy the only slot: this request waits for the rest of its body.
+	p := postWithheld(t, ts.URL+"/v1/models/m/transform", nil)
+	defer p.finish()
+	waitInflight(t, s, 1)
 
 	resp, body := postJSON(t, ts.URL+"/v1/models/m/transform", rowsRequest{Rows: [][]float64{{3, 4}}})
 	if resp.StatusCode != http.StatusTooManyRequests {
@@ -463,7 +580,6 @@ func TestShedReturns429WithRetryAfter(t *testing.T) {
 		`ifair_admission_shed_total{path="/v1/models/transform",reason="queue_full"} 1`,
 		"ifair_admission_queue_depth 0",
 		"ifair_admission_inflight 1",
-		"batcher_flush_panics 0",
 	} {
 		if !strings.Contains(string(mbody), want) {
 			t.Errorf("metrics missing %q", want)
@@ -478,8 +594,6 @@ func TestQueueWaitCapSheds503(t *testing.T) {
 	writeModelFile(t, dir, "m.json", testModel(2, 2))
 	s, err := New(Config{
 		ModelDir:       dir,
-		MaxBatch:       1000,
-		MaxWait:        10 * time.Second,
 		RequestTimeout: 5 * time.Second,
 		MaxInflight:    1,
 		MaxQueue:       4,
@@ -489,24 +603,11 @@ func TestQueueWaitCapSheds503(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	defer s.Batcher().Close()
+	t.Cleanup(ts.Close)
 
-	go func() {
-		resp, err := http.Post(ts.URL+"/v1/models/m/transform", "application/json",
-			strings.NewReader(`{"rows":[[1,2]]}`))
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Limiter().Stats().Inflight == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("first request never acquired the slot")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	p := postWithheld(t, ts.URL+"/v1/models/m/transform", nil)
+	defer p.finish()
+	waitInflight(t, s, 1)
 
 	resp, body := postJSON(t, ts.URL+"/v1/models/m/transform", rowsRequest{Rows: [][]float64{{3, 4}}})
 	if resp.StatusCode != http.StatusServiceUnavailable {

@@ -181,7 +181,7 @@ type SyncStats struct {
 // manifest checksum, and installs it with the checkpoint package's
 // atomic discipline (temp file + fsync + rename + directory fsync). A
 // byte-identical file is never rewritten, so its mtime — and therefore
-// the registry entry and micro-batcher instance serving it — survives a
+// the registry entry and compiled kernel serving it — survives a
 // re-sync untouched.
 type Syncer struct {
 	// Source fetches from the origin server (its BaseURL).

@@ -160,9 +160,9 @@ func TestSyncSameBytesIsNoop(t *testing.T) {
 			t.Fatalf("file %s was rewritten by a same-bytes re-sync", name)
 		}
 	}
-	// The registry reuses the identical entries: same pointer means the
-	// micro-batcher's per-instance queues are untouched (no version bump,
-	// no batch-instance churn on a no-op sync).
+	// The registry reuses the identical entries: same pointer means each
+	// compiled kernel and its scratch pool are untouched (no version bump,
+	// no instance churn on a no-op sync).
 	loaded, reused, err := reg.Reload()
 	if err != nil {
 		t.Fatal(err)
